@@ -670,7 +670,9 @@ class IndexInvalidateRule(Rule):
     Historical bug class: the PR-1 lazy per-column indexes are only correct
     because every tuple-adding path resets them; a new mutation path that
     touches ``_tuples``/``_by_tid`` without invalidating would serve stale
-    rows to every join.  A method that delegates the write to
+    rows to every join.  The eager entity-block index ``_blocks`` is a
+    carrier too: a path that writes it must keep the derived views in step
+    the same way.  A method that delegates the write to
     ``super().<same method>()`` inherits the parent's invalidation and is
     exempt.
     """
@@ -679,11 +681,11 @@ class IndexInvalidateRule(Rule):
     name = "index-invalidate"
     summary = "carrier writes must invalidate the row/index caches"
     rationale = (
-        "a write to _tuples/_by_tid without cache invalidation serves stale "
+        "a write to _tuples/_by_tid/_blocks without cache invalidation serves stale "
         "rows and indexes to the query evaluator (PR-1 index lifecycle)"
     )
 
-    CARRIERS: FrozenSet[str] = frozenset({"_tuples", "_by_tid"})
+    CARRIERS: FrozenSet[str] = frozenset({"_tuples", "_by_tid", "_blocks"})
     MUTATOR_CALLS: FrozenSet[str] = frozenset(
         {
             "append",

@@ -18,7 +18,7 @@ concrete instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.instance import TemporalInstance
 from repro.core.schema import RelationSchema
@@ -168,14 +168,16 @@ class CopyFunction:
         vacuous — and the chase's back-transfer (which relies on the
         contrapositive plus totality) is only sound for distinct sources.
         """
+        # group the mapped target tuples by entity once, so each tuple is
+        # paired only with its own block (mapping order kept within a group)
         mapped: List[Hashable] = list(self.mapping)
-        for i, t1 in enumerate(mapped):
-            for t2 in mapped:
+        eids = [target_instance.tuple_by_tid(tid).eid for tid in mapped]
+        by_entity: Dict[Any, List[Hashable]] = {}
+        for tid, eid in zip(mapped, eids):
+            by_entity.setdefault(eid, []).append(tid)
+        for t1, eid in zip(mapped, eids):
+            for t2 in by_entity[eid]:
                 if t1 == t2:
-                    continue
-                target1 = target_instance.tuple_by_tid(t1)
-                target2 = target_instance.tuple_by_tid(t2)
-                if target1.eid != target2.eid:
                     continue
                 s1, s2 = self.mapping[t1], self.mapping[t2]
                 if s1 == s2:

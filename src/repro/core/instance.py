@@ -26,18 +26,29 @@ class NormalInstance:
 
     Index lifecycle
     ---------------
-    The instance maintains per-column hash indexes for the query evaluator
-    (:mod:`repro.query.evaluator`).  Indexes are built lazily on the first
-    :meth:`index_on` / :meth:`rows` call and invalidated whenever a tuple is
-    added, so instances that are never queried pay nothing and instances that
-    are queried repeatedly (the candidate-enumeration loops of the CCQA and
-    preservation layers) amortise one index build over many probes.
+    The instance keeps two kinds of index.
+
+    * The **entity-block index** ``_blocks`` (``eid -> [tuples]``, in
+      insertion order) is maintained *eagerly* by :meth:`add`, next to
+      ``_by_tid``.  :meth:`entities`, :meth:`entity_block`,
+      :meth:`has_entity` and ``entity_tids`` read it, so grouping tuples into
+      the blocks ``I_e`` costs O(|I_e|) per block instead of a scan over the
+      whole instance — encoding a specification is then linear in the number
+      of entities for a fixed block size.
+    * The **per-column hash indexes** for the query evaluator
+      (:mod:`repro.query.evaluator`) are built lazily on the first
+      :meth:`index_on` / :meth:`rows` call and invalidated whenever a tuple is
+      added, so instances that are never queried pay nothing and instances
+      that are queried repeatedly (the candidate-enumeration loops of the
+      CCQA and preservation layers) amortise one index build over many
+      probes.
     """
 
     def __init__(self, schema: RelationSchema, tuples: Iterable[RelationTuple] = ()) -> None:
         self._schema = schema
         self._tuples: List[RelationTuple] = []
         self._by_tid: Dict[Hashable, RelationTuple] = {}
+        self._blocks: Dict[Any, List[RelationTuple]] = {}
         self._rows: Optional[Tuple[Tuple[Any, ...], ...]] = None
         self._value_set: Optional[FrozenSet[Tuple[Any, ...]]] = None
         self._indexes: Dict[int, Dict[Any, Tuple[Tuple[Any, ...], ...]]] = {}
@@ -58,17 +69,31 @@ class NormalInstance:
             )
         if tup.tid in self._by_tid:
             raise TupleError(f"duplicate tuple id {tup.tid!r} in instance {self._schema.name!r}")
+        # the block is looked up first, so an unhashable entity id fails
+        # before any carrier is written
+        block = self._blocks.setdefault(tup.eid, [])
         self._tuples.append(tup)
         self._by_tid[tup.tid] = tup
+        block.append(tup)
         self._invalidate_row_caches()
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        # instances pickled before the entity-block index existed (snapshot
+        # files, router resume logs) carry only the tuple list
+        if "_blocks" not in state:
+            self._blocks = {}
+            for tup in self._tuples:
+                self._blocks.setdefault(tup.eid, []).append(tup)
+            self._invalidate_row_caches()
 
     def _invalidate_row_caches(self) -> None:
         """Reset every derived view of the tuple carrier.
 
-        Any method that writes ``_tuples``/``_by_tid`` must call this in the
-        same body (enforced statically by reprolint rule R5); the lazy rows,
-        value-set and per-column indexes are only correct because no write
-        path skips it.
+        Any method that writes ``_tuples``/``_by_tid``/``_blocks`` must call
+        this in the same body (enforced statically by reprolint rule R5); the
+        lazy rows, value-set and per-column indexes are only correct because
+        no write path skips it.
         """
         self._rows = None
         self._value_set = None
@@ -95,17 +120,16 @@ class NormalInstance:
 
     def entities(self) -> List[Any]:
         """Distinct entity ids, in first-appearance order."""
-        seen: Set[Any] = set()
-        out: List[Any] = []
-        for t in self._tuples:
-            if t.eid not in seen:
-                seen.add(t.eid)
-                out.append(t.eid)
-        return out
+        return list(self._blocks)
+
+    def has_entity(self, eid: Any) -> bool:
+        """Whether some tuple pertains to the entity *eid*."""
+        return eid in self._blocks
 
     def entity_block(self, eid: Any) -> List[RelationTuple]:
-        """Tuples pertaining to the entity *eid* (the set ``I_e``)."""
-        return [t for t in self._tuples if t.eid == eid]
+        """Tuples pertaining to the entity *eid* (the set ``I_e``), in
+        insertion order."""
+        return list(self._blocks.get(eid, ()))
 
     def value_set(self) -> FrozenSet[Tuple[Any, ...]]:
         """The instance as a set of value tuples (EID first) — set semantics."""

@@ -201,7 +201,7 @@ def candidate_imports(
         target_entities = target.entities()
         for source_tuple in source.tuples():
             if match_entities_by_eid:
-                entities = [source_tuple.eid] if source_tuple.eid in target_entities else []
+                entities = [source_tuple.eid] if target.has_entity(source_tuple.eid) else []
             else:
                 entities = list(target_entities)
             for eid in entities:

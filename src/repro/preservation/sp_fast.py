@@ -87,7 +87,7 @@ def _entity_contribution(
     if not chase.consistent:
         return None
     instance = specification.instance(query.relation)
-    if eid not in instance.entities():
+    if not instance.has_entity(eid):
         return None
     schema = instance.schema
     block = instance.entity_tids(eid)

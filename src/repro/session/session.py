@@ -1658,7 +1658,7 @@ class ReasoningSession:
                 f"does not exist in {copy_function.source!r}"
             )
         target = specification.instance(copy_function.target)
-        if candidate.target_eid not in target.entities():
+        if not target.has_entity(candidate.target_eid):
             raise SpecificationError(
                 f"import targets unknown entity {candidate.target_eid!r} in "
                 f"{copy_function.target!r} (extensions introduce no new entities)"

@@ -21,8 +21,9 @@ A model decodes back into a full consistent completion.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
-from typing import AbstractSet, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+import gc
+from contextlib import contextmanager
+from typing import AbstractSet, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.copy_function import CopyFunction
 from repro.core.denial import DenialConstraint
@@ -36,6 +37,28 @@ from repro.solvers.sat import Model, iterate_models
 __all__ = ["PairVariable", "CompletionEncoder"]
 
 PairVariable = Tuple[str, str, Hashable, Hashable]
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause Python's cyclic garbage collector around a bulk build.
+
+    Encoding a specification and loading it into a fresh solver allocate
+    hundreds of thousands of long-lived containers (clause tuples, watch
+    lists, clause objects) and free almost none, so every collection the
+    allocations trigger walks them all for nothing.  The collector is
+    disabled only if it was enabled and re-enabled on the way out, even on
+    an exception; a caller that disabled it keeps it disabled, and nested
+    uses leave the decision to the outermost one.
+    """
+    enabled = gc.isenabled()
+    if enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class CompletionEncoder:
@@ -71,7 +94,8 @@ class CompletionEncoder:
         #: "all present others below ⟹ max" become too strong when a block
         #: grows, so a session must rebuild instead).
         self.maximality_encoded: Set[str] = set()
-        self._build()
+        with _collector_paused():
+            self._build()
 
     # ------------------------------------------------------------------ #
     # Encoding
@@ -90,41 +114,49 @@ class CompletionEncoder:
         self._encode_copy_functions()
 
     def _encode_instance(self, name: str, instance: TemporalInstance) -> None:
+        cnf = self.cnf
+        clauses = cnf.clauses
         for attribute in instance.schema.attributes:
             order = instance.order(attribute)
             for eid in instance.entities():
                 block = instance.entity_tids(eid)
-                for lower, upper in permutations(block, 2):
-                    self.cnf.variable(self.pair_name(name, attribute, lower, upper))
-                    self._pair_domain.setdefault((name, attribute), []).append((lower, upper))
-                for lower, upper in combinations(block, 2):
-                    forward = self.pair_name(name, attribute, lower, upper)
-                    backward = self.pair_name(name, attribute, upper, lower)
-                    # antisymmetry and totality on the entity block
-                    self.cnf.add_named_clause([(forward, False), (backward, False)])
-                    self.cnf.add_named_clause([(forward, True), (backward, True)])
-                # transitivity
-                for a in block:
-                    for b in block:
-                        for c in block:
-                            if len({a, b, c}) != 3:
-                                continue
-                            self.cnf.add_implication(
-                                [
-                                    (self.pair_name(name, attribute, a, b), True),
-                                    (self.pair_name(name, attribute, b, c), True),
-                                ],
-                                (self.pair_name(name, attribute, a, c), True),
-                            )
-                # the given partial currency order must be extended
+                if len(block) < 2:
+                    continue
+                # resolve the block's pair variables once: ``pair[i][j]`` is
+                # the variable of ``block[i] ≺ block[j]`` (minted in the
+                # order of ``permutations(block, 2)``); tids are unique, so
+                # distinct positions are distinct tuples.  Every literal is a
+                # minted index (never 0), so the block clauses go straight
+                # onto the clause list without ``CNF.add_clause``'s check.
+                domain = self._pair_domain.setdefault((name, attribute), [])
+                size = len(block)
+                pair = [[0] * size for _ in range(size)]
+                for i, lower in enumerate(block):
+                    row = pair[i]
+                    for j, upper in enumerate(block):
+                        if j != i:
+                            row[j] = cnf.variable((name, attribute, lower, upper))
+                            domain.append((lower, upper))
+                # antisymmetry and totality on the entity block
+                for i in range(size):
+                    for j in range(i + 1, size):
+                        forward, backward = pair[i][j], pair[j][i]
+                        clauses.append((-forward, -backward))
+                        clauses.append((forward, backward))
+                # transitivity: block[i] ≺ block[j] ∧ block[j] ≺ block[k] ⟹ block[i] ≺ block[k]
+                for i in range(size):
+                    row_i = pair[i]
+                    for j in range(size):
+                        if j == i:
+                            continue
+                        not_ij = -row_i[j]
+                        row_j = pair[j]
+                        for k in range(size):
+                            if k != i and k != j:
+                                clauses.append((not_ij, -row_j[k], row_i[k]))
+            # the given partial currency order must be extended
             for lower, upper in order.pairs():
-                self.cnf.add_unit(self.pair_name(name, attribute, lower, upper), True)
-
-    def _same_entity(self, instance: TemporalInstance, lower: Hashable, upper: Hashable) -> bool:
-        return (
-            lower != upper
-            and instance.tuple_by_tid(lower).eid == instance.tuple_by_tid(upper).eid
-        )
+                cnf.add_unit(self.pair_name(name, attribute, lower, upper), True)
 
     def _encode_denial_constraints(self, name: str) -> None:
         for constraint in self.specification.constraints_for(name):
@@ -147,13 +179,17 @@ class CompletionEncoder:
         """
         restriction = {only_tid} if only_tid is not None else only_tids
         instance = self.specification.instance(name)
+        # a grounding assigns every variable a tuple of one entity block, so
+        # each premise and head pair is same-entity by construction: only a
+        # pair relating a tuple to itself is out of the encoding (a head of
+        # that shape is grounded as ``None``)
         for implication, support in constraint.grounded_implications_with_support(instance):
             if restriction is not None and restriction.isdisjoint(support):
                 continue
             premises: List[Tuple[PairVariable, bool]] = []
             vacuous = False
             for attribute, lower, upper in implication.premises:
-                if not self._same_entity(instance, lower, upper):
+                if lower == upper:
                     vacuous = True  # the premise can never hold
                     break
                 premises.append((self.pair_name(name, attribute, lower, upper), True))
@@ -161,16 +197,13 @@ class CompletionEncoder:
                 continue
             head = implication.head
             if head is None:
+                # the head relates a tuple to itself: the premises must fail
                 self.cnf.add_implication(premises, None)
                 continue
             attribute, lower, upper = head
-            if not self._same_entity(instance, lower, upper):
-                # the head can never be satisfied: the premises must fail
-                self.cnf.add_implication(premises, None)
-            else:
-                self.cnf.add_implication(
-                    premises, (self.pair_name(name, attribute, lower, upper), True)
-                )
+            self.cnf.add_implication(
+                premises, (self.pair_name(name, attribute, lower, upper), True)
+            )
 
     def _encode_copy_functions(self) -> None:
         for copy_function in self.specification.copy_functions:
@@ -192,21 +225,17 @@ class CompletionEncoder:
         restriction = {only_tid} if only_tid is not None else only_tids
         target = self.specification.instance(copy_function.target)
         source = self.specification.instance(copy_function.source)
+        # both pairs of every implication relate distinct tuples of one
+        # entity (see ``compatibility_implications``), so both are encoded
         for (src_attr, s1, s2), (tgt_attr, t1, t2) in copy_function.compatibility_implications(
             target, source
         ):
             if restriction is not None and restriction.isdisjoint((s1, s2, t1, t2)):
                 continue
-            if not self._same_entity(source, s1, s2):
-                continue
-            source_pair = (self.pair_name(copy_function.source, src_attr, s1, s2), True)
-            if not self._same_entity(target, t1, t2):
-                self.cnf.add_implication([source_pair], None)
-            else:
-                self.cnf.add_implication(
-                    [source_pair],
-                    (self.pair_name(copy_function.target, tgt_attr, t1, t2), True),
-                )
+            self.cnf.add_implication(
+                [(self.pair_name(copy_function.source, src_attr, s1, s2), True)],
+                (self.pair_name(copy_function.target, tgt_attr, t1, t2), True),
+            )
 
     # ------------------------------------------------------------------ #
     # Extra constraints used by the decision procedures
@@ -379,15 +408,23 @@ class CompletionEncoder:
     @property
     def solver(self) -> SolverBackend:
         """The incremental solver, synced with every clause of ``self.cnf``."""
-        if self._solver is None:
-            self._solver = create_solver(self.backend, self.cnf.num_variables)
         solver = self._solver
+        if solver is None:
+            # the first feed loads the whole encoding: a bulk build
+            with _collector_paused():
+                solver = self._solver = create_solver(self.backend, self.cnf.num_variables)
+                self._feed(solver)
+        else:
+            self._feed(solver)
+        return solver
+
+    def _feed(self, solver: SolverBackend) -> None:
+        """Hand *solver* the clauses of ``self.cnf`` it has not seen yet."""
         solver.ensure_vars(self.cnf.num_variables)
         clauses = self.cnf.clauses
         while self._fed_clauses < len(clauses):
             solver.add_clause(clauses[self._fed_clauses])
             self._fed_clauses += 1
-        return solver
 
     def _solve_model(self) -> Optional[Model]:
         """One model of the current encoding, memoised until a clause is added

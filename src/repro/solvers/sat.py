@@ -291,15 +291,19 @@ class Solver:
             self._cancel_until(0)
         lits: List[int] = []
         seen = set()
+        assign = self._assign
         for lit in literals:
             if lit == 0:
                 raise SolverError("0 is not a valid literal")
-            self.ensure_vars(lit if lit > 0 else -lit)
+            variable = lit if lit > 0 else -lit
+            if variable > self._var_count:
+                self.ensure_vars(variable)
+                assign = self._assign
             if -lit in seen:
                 return True  # tautology
             if lit in seen:
                 continue
-            value = self._assign[lit]
+            value = assign[lit]
             if value == 1:
                 return True  # already satisfied at the root level
             if value == -1:

@@ -155,6 +155,14 @@ def test_r4_flags_factory_construction_in_hot_path(tmp_path):
     assert any("create_solver" in f.message for f in report.unsuppressed)
 
 
+def test_r5_flags_each_unhooked_carrier_write():
+    # the tuple-list path and the entity-block-index path are separate
+    # findings: either one alone leaves the derived views stale
+    report = lint(FIXTURES / "r5_bad.py", rules=[rule_by_identifier("R5")])
+    flagged = sorted(f.message.split("'")[1] for f in report.unsuppressed)
+    assert flagged == ["add", "regroup"], [f.render() for f in report.unsuppressed]
+
+
 def test_r8_flags_both_concrete_backends():
     report = lint(FIXTURES / "r8_bad.py")
     messages = [f.message for f in report.unsuppressed if f.rule == "R8"]

@@ -1,5 +1,8 @@
 """Unit tests for normal and temporal instances."""
 
+import pickle
+import random
+
 import pytest
 
 from repro.core.instance import NormalInstance, TemporalInstance
@@ -178,3 +181,117 @@ class TestTemporalInstance:
 
     def test_entity_tids(self, two_entity_instance):
         assert two_entity_instance.entity_tids("e1") == ["t1", "t2"]
+
+
+# --------------------------------------------------------------------------- #
+# entity-block index
+# --------------------------------------------------------------------------- #
+def _scan_entities(instance):
+    """Linear-scan reference for ``entities()``: first-appearance order."""
+    out = []
+    for tup in instance:
+        if tup.eid not in out:
+            out.append(tup.eid)
+    return out
+
+
+def _assert_index_matches_scan(instance):
+    tuples = list(instance)
+    assert instance.entities() == _scan_entities(instance)
+    for eid in _scan_entities(instance):
+        scanned = [t for t in tuples if t.eid == eid]
+        assert instance.has_entity(eid)
+        assert instance.entity_block(eid) == scanned
+        assert [t.tid for t in instance.entity_block(eid)] == [t.tid for t in scanned]
+        if isinstance(instance, TemporalInstance):
+            assert instance.entity_tids(eid) == [t.tid for t in scanned]
+    assert not instance.has_entity("no-such-entity")
+    assert instance.entity_block("no-such-entity") == []
+
+
+def _random_rows(seed, count=24):
+    rng = random.Random(seed)
+    entities = [f"e{index}" for index in range(rng.randint(1, 6))] + [0, 1.5]
+    return [
+        (f"t{index}", {"EID": rng.choice(entities), "A": rng.randrange(3), "B": rng.randrange(3)})
+        for index in range(count)
+    ]
+
+
+class TestEntityBlockIndex:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_add_keeps_index_equal_to_scan(self, schema, seed):
+        instance = TemporalInstance(schema)
+        _assert_index_matches_scan(instance)
+        for tid, values in _random_rows(seed):
+            instance.add(RelationTuple(schema, tid, values))
+            _assert_index_matches_scan(instance)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_derived_instances_match_scan(self, schema, seed):
+        instance = TemporalInstance.from_rows(schema, _random_rows(seed))
+        _assert_index_matches_scan(instance)
+        _assert_index_matches_scan(instance.copy())
+        _assert_index_matches_scan(instance.normal_instance())
+        _assert_index_matches_scan(pickle.loads(pickle.dumps(instance)))
+        _assert_index_matches_scan(pickle.loads(pickle.dumps(instance.normal_instance())))
+
+    def test_copy_grows_independently(self, two_entity_instance, pair_schema):
+        clone = two_entity_instance.copy()
+        clone.add(RelationTuple(pair_schema, "t3", {"EID": "e1", "A": 5, "B": 50}))
+        assert clone.entity_tids("e1") == ["t1", "t2", "t3"]
+        assert two_entity_instance.entity_tids("e1") == ["t1", "t2"]
+
+    def test_entity_block_is_a_fresh_list(self, two_entity_instance):
+        two_entity_instance.entity_block("e1").clear()
+        assert two_entity_instance.entity_tids("e1") == ["t1", "t2"]
+
+    def test_pickle_without_block_index_restores(self, two_entity_instance, monkeypatch):
+        # the state layout of instances pickled before the index existed
+        def legacy_state(self):
+            state = dict(self.__dict__)
+            del state["_blocks"]
+            return state
+
+        monkeypatch.setattr(NormalInstance, "__getstate__", legacy_state, raising=False)
+        payload = pickle.dumps(two_entity_instance)
+        monkeypatch.undo()
+        assert b"_blocks" not in payload
+        restored = pickle.loads(payload)
+        _assert_index_matches_scan(restored)
+        assert restored.structurally_equal(two_entity_instance)
+        restored.add_order("A", "t1", "t2")
+        assert restored.precedes("A", "t1", "t2")
+
+    def test_snapshot_file_without_block_index_restores(self, tmp_path, monkeypatch):
+        from repro.session import ReasoningSession
+        from repro.session.snapshot import SnapshotStore
+        from repro.workloads.synthetic import SyntheticConfig, random_specification
+
+        spec = random_specification(SyntheticConfig(entities=3, tuples_per_entity=3, seed=4))
+        session = ReasoningSession(spec)
+        expected = session.consistent()
+
+        def legacy_state(self):
+            state = dict(self.__dict__)
+            del state["_blocks"]
+            return state
+
+        store = SnapshotStore(str(tmp_path))
+        monkeypatch.setattr(NormalInstance, "__getstate__", legacy_state, raising=False)
+        store.store_session(session)
+        monkeypatch.undo()
+        restored = store.load_session(spec)
+        assert restored is not None, "an old-format snapshot must restore, not miss"
+        for instance in restored.specification.instances.values():
+            _assert_index_matches_scan(instance)
+        assert restored.consistent() == expected
+        assert restored.consistent() == ReasoningSession(spec.copy()).consistent()
+
+
+def test_unhashable_entity_id_leaves_the_instance_unchanged(schema):
+    instance = NormalInstance(schema, [make_tuple(schema, "t1", "e", 1, 2)])
+    with pytest.raises(TypeError):
+        instance.add(make_tuple(schema, "t2", ["not", "hashable"], 1, 2))
+    assert instance.tids() == ["t1"] and not instance.has_tid("t2")
+    assert instance.entities() == ["e"]
